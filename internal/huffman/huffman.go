@@ -6,11 +6,14 @@
 // table is serialized ahead of the bitstream so each sub-block stream is
 // self-describing and independently decodable.
 //
+// Both directions work over the list of present symbols, not the alphabet:
+// a quantizer alphabet has 65,536 symbols while a real stream uses a few
+// hundred, so table set-up costs O(present symbols) plus a fixed-size
+// decode table, whatever the alphabet.
+//
 // The encoder and decoder are allocation-free in steady state: histograms,
-// tree nodes, the heap, the packed code table and the decoder state all
-// recycle through scratch arenas and local sync.Pools (the former
-// container/heap implementation boxed every node index into an interface,
-// which dominated whole-pipeline allocs/op).
+// the Huffman build's queues, the packed code table and the decoder state
+// all recycle through scratch arenas and local sync.Pools.
 package huffman
 
 import (
@@ -19,6 +22,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 
 	"stz/internal/bitio"
@@ -28,7 +32,12 @@ import (
 
 const (
 	maxCodeLen = 31 // longest admissible code, fits the 5-bit length field
-	fastBits   = 10 // width of the table-driven decode fast path
+	// rootBits is the width of the first-level decode table: every code of
+	// at most rootBits bits decodes with one lookup, longer ones with one
+	// lookup plus a short limit search. It also caps the table size, so no
+	// length table can make the decoder allocate more.
+	rootBits = 12
+	rootMask = 1<<rootBits - 1
 
 	// numLanes is the lane count of the v2 multi-stream payload: the symbol
 	// stream is split into numLanes near-equal contiguous segments, each
@@ -43,234 +52,140 @@ const (
 // ErrCorrupt is returned when a stream fails structural validation.
 var ErrCorrupt = errors.New("huffman: corrupt stream")
 
-type treeNode struct {
-	count       uint64
-	order       int32 // tie-break for deterministic trees
-	left, right int32 // -1 for leaves
-	sym         uint16
-}
-
-// buildScratch is the reusable tree-construction state: the node arena and
-// the index heap. It avoids the per-node interface boxing of container/heap
-// and recycles the backing arrays across encodes.
+// buildScratch is the reusable tree-construction state of the two-queue
+// Huffman build, over the present symbols: leaf i is present symbol i, and
+// internal node k is the k-th merge.
 type buildScratch struct {
-	nodes []treeNode
-	heap  []int32
-	stack []int32 // iterative depth walk, node indices
-	depth []uint8 // parallel to stack
+	leaves []uint64 // count<<16 | leaf index, ascending
+	sums   []uint64 // count of internal node k
+	parent []int32  // parent of leaf i at i, of internal node k at p+k
+	depth  []uint8  // depth of internal node k
 }
 
-var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
-
-// nodeLess orders heap entries by (count, insertion order) — a strict total
-// order, so the pop sequence (and therefore the code table) is identical to
-// the previous container/heap implementation.
-func nodeLess(nodes []treeNode, a, b int32) bool {
-	na, nb := &nodes[a], &nodes[b]
-	if na.count != nb.count {
-		return na.count < nb.count
-	}
-	return na.order < nb.order
-}
-
-func (bs *buildScratch) heapInit() {
-	n := len(bs.heap)
-	for i := n/2 - 1; i >= 0; i-- {
-		bs.siftDown(i)
-	}
-}
-
-func (bs *buildScratch) heapPush(v int32) {
-	bs.heap = append(bs.heap, v)
-	i := len(bs.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !nodeLess(bs.nodes, bs.heap[i], bs.heap[parent]) {
-			break
-		}
-		bs.heap[i], bs.heap[parent] = bs.heap[parent], bs.heap[i]
-		i = parent
-	}
-}
-
-func (bs *buildScratch) heapPop() int32 {
-	h := bs.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	bs.heap = h[:last]
-	if last > 0 {
-		bs.siftDown(0)
-	}
-	return top
-}
-
-func (bs *buildScratch) siftDown(i int) {
-	h := bs.heap
-	n := len(h)
+// codeLengths computes Huffman code lengths for the present symbols with
+// nonzero counts freq into lens (same order) and returns the longest.
+// Lengths are depth-limited to maxCodeLen by flattening the histogram and
+// rebuilding when necessary; freq is overwritten.
+func (bs *buildScratch) codeLengths(freq []uint64, lens []uint8) uint8 {
 	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		small := l
-		if r := l + 1; r < n && nodeLess(bs.nodes, h[r], h[l]) {
-			small = r
-		}
-		if !nodeLess(bs.nodes, h[small], h[i]) {
-			return
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-}
-
-// codeLengths computes Huffman code lengths for the given symbol counts
-// (count > 0 means the symbol is present) into lengths. Lengths are
-// depth-limited to maxCodeLen by flattening the histogram and rebuilding
-// when necessary. work must be at least len(counts) long; its contents are
-// overwritten.
-func codeLengths(counts []uint64, lengths []uint8, work []uint64) {
-	work = work[:len(counts)]
-	copy(work, counts)
-	bs := buildPool.Get().(*buildScratch)
-	for {
-		maxLen := buildLengths(work, lengths, bs)
+		maxLen := bs.buildLengths(freq, lens)
 		if maxLen <= maxCodeLen {
-			buildPool.Put(bs)
-			return
+			return maxLen
 		}
-		for i, c := range work {
+		for i, c := range freq {
 			if c > 1 {
-				work[i] = (c + 1) / 2
+				freq[i] = (c + 1) / 2
 			}
 		}
 	}
 }
 
-func buildLengths(counts []uint64, lengths []uint8, bs *buildScratch) uint8 {
-	for i := range lengths {
-		lengths[i] = 0
-	}
-	var present int
-	for _, c := range counts {
-		if c > 0 {
-			present++
-		}
-	}
-	switch present {
+// buildLengths is one Huffman build. Every merge takes the two smallest
+// nodes under the strict order (count, order), where a leaf's order is its
+// index and an internal node's order follows every leaf and every earlier
+// merge; this tie-break fixes the code lengths, and with them the
+// archives. Sorted leaves plus the merges in creation order (whose counts
+// never decrease) are two queues already in that order, so each step
+// compares their fronts.
+func (bs *buildScratch) buildLengths(freq []uint64, lens []uint8) uint8 {
+	p := len(freq)
+	switch p {
 	case 0:
 		return 0
 	case 1:
-		for i, c := range counts {
-			if c > 0 {
-				lengths[i] = 1
-			}
-		}
+		lens[0] = 1
 		return 1
 	}
-	nodes := bs.nodes[:0]
-	if cap(nodes) < 2*present {
-		nodes = make([]treeNode, 0, 2*present)
-	}
-	for i, c := range counts {
-		if c > 0 {
-			nodes = append(nodes, treeNode{count: c, order: int32(len(nodes)), left: -1, right: -1, sym: uint16(i)})
+	leaves := bs.leaves[:0]
+	for i, c := range freq {
+		if c >= 1<<48 {
+			// Too large for the sort key (a histogram count never is):
+			// report an over-long code so codeLengths flattens first.
+			return maxCodeLen + 1
 		}
+		leaves = append(leaves, c<<16|uint64(i))
 	}
-	heap := bs.heap[:0]
-	if cap(heap) < present {
-		heap = make([]int32, 0, present)
-	}
-	for i := range nodes {
-		heap = append(heap, int32(i))
-	}
-	bs.nodes, bs.heap = nodes, heap
-	bs.heapInit()
-	for len(bs.heap) > 1 {
-		a := bs.heapPop()
-		b := bs.heapPop()
-		bs.nodes = append(bs.nodes, treeNode{
-			count: bs.nodes[a].count + bs.nodes[b].count,
-			order: int32(len(bs.nodes)),
-			left:  a, right: b,
-		})
-		bs.heapPush(int32(len(bs.nodes) - 1))
-	}
-	root := bs.heap[0]
-	// Iterative depth assignment over the pooled stacks.
-	stack, depth := bs.stack[:0], bs.depth[:0]
-	stack = append(stack, root)
-	depth = append(depth, 0)
-	var maxLen uint8
-	for len(stack) > 0 {
-		ni := stack[len(stack)-1]
-		d := depth[len(depth)-1]
-		stack, depth = stack[:len(stack)-1], depth[:len(depth)-1]
-		n := &bs.nodes[ni]
-		if n.left < 0 {
-			lengths[n.sym] = d
-			if d > maxLen {
-				maxLen = d
+	slices.Sort(leaves)
+	sums := slices.Grow(bs.sums[:0], p-1)[:p-1]
+	parent := slices.Grow(bs.parent[:0], 2*p-1)[:2*p-1]
+	li, ii := 0, 0 // fronts of the leaf and merge queues
+	for k := 0; k < p-1; k++ {
+		var sum uint64
+		for range 2 {
+			if li < p && (ii == k || leaves[li]>>16 <= sums[ii]) {
+				parent[leaves[li]&0xffff] = int32(p + k)
+				sum += leaves[li] >> 16
+				li++
+			} else {
+				parent[p+ii] = int32(p + k)
+				sum += sums[ii]
+				ii++
 			}
-			continue
 		}
-		stack = append(stack, n.left, n.right)
-		depth = append(depth, d+1, d+1)
+		sums[k] = sum
 	}
-	bs.stack, bs.depth = stack, depth
+	// Parents are created after their children, so one backward pass from
+	// the root (the last merge) assigns every depth.
+	depth := slices.Grow(bs.depth[:0], p-1)[:p-1]
+	depth[p-2] = 0
+	for k := p - 3; k >= 0; k-- {
+		depth[k] = depth[int(parent[p+k])-p] + 1
+	}
+	var maxLen uint8
+	for i := range lens {
+		lens[i] = depth[int(parent[i])-p] + 1
+		maxLen = max(maxLen, lens[i])
+	}
+	bs.leaves, bs.sums, bs.parent, bs.depth = leaves, sums, parent, depth
 	return maxLen
 }
 
-// Table holds a canonical Huffman code: per-symbol lengths and codes.
+// firstCodes returns the first canonical code (MSB-first) of every length
+// for the per-length code counts count, whose entry 0 must be zero.
+func firstCodes(count *[maxCodeLen + 1]uint32) (first [maxCodeLen + 1]uint32) {
+	var code uint32
+	for l := 1; l <= maxCodeLen; l++ {
+		code = (code + count[l-1]) << 1
+		first[l] = code
+	}
+	return first
+}
+
+// lengthCounts returns the number of codes of every length in lens.
+func lengthCounts(lens []uint8) (count [maxCodeLen + 1]uint32) {
+	for _, l := range lens {
+		count[l]++
+	}
+	return count
+}
+
+// Table holds a canonical Huffman code over the present symbols.
 type Table struct {
-	lengths []uint8  // indexed by symbol; 0 = absent
-	codes   []uint32 // canonical code, MSB-first
-	maxLen  uint8
+	syms    []uint16 // present symbols, ascending
+	lengths []uint8  // code length of syms[i]
+	codes   []uint32 // canonical code of syms[i], MSB-first
 }
 
 // BuildTable constructs a canonical table from symbol counts.
 func BuildTable(counts []uint64) *Table {
-	lengths := make([]uint8, len(counts))
-	work := scratch.U64.Lease(len(counts))
-	codeLengths(counts, lengths, work)
-	scratch.U64.Release(work)
-	return tableFromLengths(lengths)
-}
-
-func tableFromLengths(lengths []uint8) *Table {
-	t := tableHeaderFromLengths(lengths)
-	t.codes = make([]uint32, len(lengths))
-	var blCount [maxCodeLen + 1]uint32
-	for _, l := range lengths {
-		if l > 0 {
-			blCount[l]++
+	t := &Table{}
+	var freq []uint64
+	for s, c := range counts {
+		if c > 0 {
+			t.syms = append(t.syms, uint16(s))
+			freq = append(freq, c)
 		}
 	}
-	var nextCode [maxCodeLen + 2]uint32
-	var code uint32
-	for l := uint8(1); l <= t.maxLen; l++ {
-		code = (code + blCount[l-1]) << 1
-		nextCode[l] = code
-	}
-	for sym, l := range lengths {
-		if l > 0 {
-			t.codes[sym] = nextCode[l]
-			nextCode[l]++
-		}
-	}
-	return t
-}
-
-// tableHeaderFromLengths builds a Table without materializing per-symbol
-// codes — sufficient for decoding, where the decoder derives canonical
-// codes on the fly.
-func tableHeaderFromLengths(lengths []uint8) *Table {
-	t := &Table{lengths: lengths}
-	for _, l := range lengths {
-		if l > t.maxLen {
-			t.maxLen = l
-		}
+	t.lengths = make([]uint8, len(t.syms))
+	e := encoderPool.Get().(*encoder)
+	e.codeLengths(freq, t.lengths)
+	encoderPool.Put(e)
+	t.codes = make([]uint32, len(t.syms))
+	count := lengthCounts(t.lengths)
+	next := firstCodes(&count)
+	for i, l := range t.lengths {
+		t.codes[i] = next[l]
+		next[l]++
 	}
 	return t
 }
@@ -280,41 +195,32 @@ func reverseBits(v uint32, n uint8) uint32 {
 	return bits.Reverse32(v) >> (32 - n)
 }
 
-// writeLengths serializes the code-length table as (numDistinct, then per
-// present symbol: gamma(delta-1 from previous present symbol), 5-bit length).
-func writeLengths(w *bitio.Writer, lengths []uint8) {
-	var distinct uint64
-	for _, l := range lengths {
-		if l > 0 {
-			distinct++
-		}
-	}
-	w.WriteGamma(distinct)
+// writeLengths serializes the code-length table of the present symbols
+// syms (ascending) as numDistinct, then per present symbol gamma(delta-1
+// from the previous present symbol) and a 5-bit length.
+func writeLengths(w *bitio.Writer, syms []uint16, lens []uint8) {
+	w.WriteGamma(uint64(len(syms)))
 	prev := -1
-	for sym, l := range lengths {
-		if l == 0 {
-			continue
-		}
-		w.WriteGamma(uint64(sym - prev - 1))
-		w.WriteBits(uint64(l), 5)
-		prev = sym
+	for i, s := range syms {
+		w.WriteGamma(uint64(int(s) - prev - 1))
+		w.WriteBits(uint64(lens[i]), 5)
+		prev = int(s)
 	}
 }
 
-// readTable deserializes the code-length table into pooled decoder state;
-// the returned lengths slice is owned by the caller's decoder.
-func readLengths(r *bitio.Reader, lengths []uint8) error {
+// readLengths deserializes the code-length table into d.syms and d.lens.
+// data is the whole blob, whose size bounds the table: every entry costs
+// at least six bits (a one-bit gamma gap and the 5-bit length), so a
+// corrupt count cannot size the buffers beyond the blob.
+func (d *decoder) readLengths(r *bitio.Reader, data []byte, alphabet int) error {
 	distinct, err := r.ReadGamma()
 	if err != nil {
 		return err
 	}
-	alphabet := len(lengths)
-	if distinct > uint64(alphabet) {
+	if distinct > uint64(alphabet) || distinct > uint64(len(data))*8/6 {
 		return ErrCorrupt
 	}
-	for i := range lengths {
-		lengths[i] = 0
-	}
+	d.syms, d.lens = d.syms[:0], d.lens[:0]
 	sym := -1
 	for i := uint64(0); i < distinct; i++ {
 		delta, err := r.ReadGamma()
@@ -326,8 +232,7 @@ func readLengths(r *bitio.Reader, lengths []uint8) error {
 			return err
 		}
 		// Bound the delta before the int conversion: a crafted gamma near
-		// 2^64 would wrap sym negative and slip past the >= alphabet check
-		// straight into a negative slice index.
+		// 2^64 would wrap sym negative and slip past the >= alphabet check.
 		if delta >= uint64(alphabet) {
 			return ErrCorrupt
 		}
@@ -335,24 +240,21 @@ func readLengths(r *bitio.Reader, lengths []uint8) error {
 		if sym >= alphabet || l == 0 || l > maxCodeLen {
 			return ErrCorrupt
 		}
-		lengths[sym] = uint8(l)
+		d.syms = append(d.syms, uint16(sym))
+		d.lens = append(d.lens, uint8(l))
 	}
 	return nil
 }
 
-// validate checks the Kraft sum so a corrupt table cannot cause the decoder
-// to mis-walk.
-func validateLengths(lengths []uint8) error {
-	var kraft uint64
-	var present int
-	for _, l := range lengths {
-		if l > 0 {
-			kraft += 1 << (maxCodeLen - uint(l))
-			present++
-		}
-	}
-	if present <= 1 {
+// validateLengths checks the Kraft sum so a corrupt table cannot describe
+// an oversubscribed code.
+func validateLengths(lens []uint8) error {
+	if len(lens) <= 1 {
 		return nil // empty or single-symbol (one bit by construction)
+	}
+	var kraft uint64
+	for _, l := range lens {
+		kraft += 1 << (maxCodeLen - uint(l))
 	}
 	if kraft > 1<<maxCodeLen {
 		return fmt.Errorf("%w: oversubscribed code", ErrCorrupt)
@@ -360,222 +262,171 @@ func validateLengths(lengths []uint8) error {
 	return nil
 }
 
-func (t *Table) validate() error { return validateLengths(t.lengths) }
-
-// decoder is the canonical decoding state derived from a code-length table.
-// Decoders recycle through decoderPool; all slice fields keep their backing
-// arrays across uses.
+// decoder is the canonical decoding state derived from a code-length
+// table. Decoders recycle through decoderPool; the slice fields keep their
+// backing arrays across uses, and none of them is sized by the alphabet.
+//
+// A symbol decodes from the next bits of the stream (transmitted order,
+// next bit in bit 0) through the first-level table, indexed by the next
+// d.bits bits. An entry holds sym<<8 | length for a code of at most d.bits
+// bits; a prefix of longer codes holds minLen<<8, the shortest code length
+// under that prefix, and the code is found by a Moffat–Turpin limit search
+// from minLen (long); an entry of 0 is a prefix of no code.
 type decoder struct {
-	lengths []uint8
-	maxLen  uint8
-	// fast path: index by the next fastBits bits (transmitted-order, i.e.
-	// reversed), value packs symbol<<8 | length; length 0 = slow path.
-	fast []uint32
-	// slow path canonical walk tables.
-	firstCode  [maxCodeLen + 1]uint32
-	firstIndex [maxCodeLen + 1]int32
-	blCount    [maxCodeLen + 1]int32
-	symByOrder []uint16
+	syms   []uint16 // present symbols, ascending, as read from the table
+	lens   []uint8  // code length of syms[i]
+	byCode []uint16 // present symbols in canonical order: by (length, symbol)
+	maxLen uint
+	bits   uint // first-level width: min(maxLen, rootBits)
+	table  [1 << rootBits]uint32
+	// limit[l] is one past the last code of length l, left-justified to 32
+	// bits; offset[l] maps a length-l code to its byCode index (mod 2^32).
+	limit  [maxCodeLen + 1]uint64
+	offset [maxCodeLen + 1]uint32
 }
 
-var decoderPool = sync.Pool{
-	New: func() any { return &decoder{fast: make([]uint32, 1<<fastBits)} },
-}
+var decoderPool = sync.Pool{New: func() any { return new(decoder) }}
 
-// leaseDecoder returns a pooled decoder with lengths sized for alphabet and
-// the derived tables reset; the caller must fill d.lengths, then call
-// d.build().
-func leaseDecoder(alphabet int) *decoder {
-	d := decoderPool.Get().(*decoder)
-	if cap(d.lengths) < alphabet {
-		d.lengths = make([]uint8, alphabet)
-	}
-	d.lengths = d.lengths[:alphabet]
-	return d
-}
-
-func releaseDecoder(d *decoder) { decoderPool.Put(d) }
-
-// build derives the canonical walk tables and the fast table from d.lengths.
+// build derives the decode tables from the validated length table read
+// into d, in O(present symbols + 2^d.bits).
 func (d *decoder) build() {
+	count := lengthCounts(d.lens)
 	d.maxLen = 0
-	for _, l := range d.lengths {
-		if l > d.maxLen {
-			d.maxLen = l
+	for l := maxCodeLen; l > 0; l-- {
+		if count[l] > 0 {
+			d.maxLen = uint(l)
+			break
 		}
 	}
-	clear(d.blCount[:])
-	clear(d.firstCode[:])
-	clear(d.firstIndex[:])
-	blCount := d.blCount[:]
-	for _, l := range d.lengths {
-		if l > 0 {
-			blCount[l]++
-		}
+	d.bits = min(d.maxLen, rootBits)
+	first := firstCodes(&count)
+	var index [maxCodeLen + 1]uint32 // byCode index of each length's first code
+	var n uint32
+	for l := 1; l <= maxCodeLen; l++ {
+		index[l] = n
+		d.offset[l] = n - first[l]
+		d.limit[l] = uint64(first[l]+count[l]) << (32 - l)
+		n += count[l]
 	}
-	var code uint32
-	var index int32
-	for l := uint8(1); l <= d.maxLen; l++ {
-		code = (code + uint32(blCount[l-1])) << 1
-		d.firstCode[l] = code
-		d.firstIndex[l] = index
-		index += blCount[l]
+	if cap(d.byCode) < len(d.syms) {
+		d.byCode = make([]uint16, len(d.syms))
 	}
-	if cap(d.symByOrder) < int(index) {
-		d.symByOrder = make([]uint16, index)
+	d.byCode = d.byCode[:len(d.syms)]
+	next := index
+	for i, s := range d.syms {
+		l := d.lens[i]
+		d.byCode[next[l]] = s
+		next[l]++
 	}
-	d.symByOrder = d.symByOrder[:index]
-	// Symbols in canonical order: by (length, symbol).
-	var nextIdx [maxCodeLen + 1]int32
-	copy(nextIdx[:], d.firstIndex[:])
-	for sym, l := range d.lengths {
-		if l > 0 {
-			d.symByOrder[nextIdx[l]] = uint16(sym)
-			nextIdx[l]++
-		}
-	}
-	// Fast table; canonical codes are derived on the fly so decoding never
-	// needs the full per-symbol code array. Stale entries from the previous
-	// use are cleared first so they can never alias into this table.
-	clear(d.fast)
-	var nextCode [maxCodeLen + 1]uint32
-	copy(nextCode[:], d.firstCode[:])
-	for sym, l := range d.lengths {
-		if l == 0 {
-			continue
-		}
-		code := nextCode[l]
-		nextCode[l]++
-		if l > fastBits {
-			continue
-		}
-		codeRev := reverseBits(code, l)
-		step := uint32(1) << l
-		for v := codeRev; v < 1<<fastBits; v += step {
-			d.fast[v] = uint32(sym)<<8 | uint32(l)
+
+	// First-level table. Entries not written below stay 0: after an
+	// incomplete code, those prefixes match no code.
+	size := uint32(1) << d.bits
+	clear(d.table[:size])
+	for l := uint(1); l <= d.maxLen; l++ {
+		for k := uint32(0); k < count[l]; k++ {
+			code := first[l] + k
+			if l <= d.bits {
+				e := uint32(d.byCode[index[l]+k])<<8 | uint32(l)
+				for v := reverseBits(code, uint8(l)); v < size; v += 1 << l {
+					d.table[v] = e
+				}
+				continue
+			}
+			// Lengths are visited in increasing order, so the first code
+			// seen under a prefix is the shortest.
+			v := reverseBits(code>>(l-d.bits), uint8(d.bits))
+			if d.table[v] == 0 {
+				d.table[v] = uint32(l) << 8
+			}
 		}
 	}
 }
 
-// slowWalk canonically decodes one symbol from the peeked word v (LSB =
-// next transmitted bit) without the fast table: the per-length walk of
-// decodeSym, but over an already-loaded word instead of per-bit reads.
-// Returns ok=false when no code matches within maxLen bits.
-func (d *decoder) slowWalk(v uint64) (sym uint16, length uint, ok bool) {
-	var code uint32
-	for l := uint8(1); l <= d.maxLen; l++ {
-		code = code<<1 | uint32(v&1)
-		v >>= 1
-		cnt := d.blCount[l]
-		if cnt > 0 && code >= d.firstCode[l] && code < d.firstCode[l]+uint32(cnt) {
-			return d.symByOrder[d.firstIndex[l]+int32(code-d.firstCode[l])], uint(l), true
-		}
+// long decodes a code longer than d.bits from the stream word v, whose
+// first-level entry is e. In canonical order every code of length l sorts
+// below limit[l] when left-justified, and the limits grow with l, so the
+// code length is the first l from the entry's minLen with x < limit[l].
+// Returns ok=false when no code matches.
+func (d *decoder) long(v uint64, e uint32) (sym uint16, length uint, ok bool) {
+	if e == 0 {
+		return 0, 0, false
 	}
-	return 0, 0, false
+	x := uint64(bits.Reverse32(uint32(v)))
+	l := uint(e >> 8)
+	for l < d.maxLen && x >= d.limit[l] {
+		l++
+	}
+	if x >= d.limit[l] {
+		return 0, 0, false
+	}
+	return d.byCode[d.offset[l]+uint32(x>>(32-l))], l, true
 }
 
-// decodeSymFast decodes one symbol with no bounds checks: the caller must
-// have established, via a Reader.Refill budget, that at least d.maxLen
-// valid bits are buffered. Returns ok=false on a pattern that matches no
-// code (corrupt stream).
-func (d *decoder) decodeSymFast(r *bitio.Reader) (uint16, bool) {
-	e := d.fast[r.PeekFast(fastBits)]
-	if l := e & 0xff; l != 0 {
-		r.SkipFast(uint(l))
-		return uint16(e >> 8), true
+// decodeWord decodes one symbol from the stream word v (next stream bit
+// in bit 0, zero past the end of the stream). The caller checks the
+// returned length against the bits actually available.
+func (d *decoder) decodeWord(v uint64) (uint16, uint, bool) {
+	e := d.table[v&(1<<d.bits-1)&rootMask]
+	if l := uint(e & 0xff); l != 0 {
+		return uint16(e >> 8), l, true
 	}
-	sym, l, ok := d.slowWalk(r.PeekFast(uint(d.maxLen)))
-	if !ok {
-		return 0, false
-	}
-	r.SkipFast(l)
-	return sym, true
+	return d.long(v, e)
 }
 
 // decodeStream decodes len(out) symbols from r. While the reader can top
 // its accumulator up to a full word, symbols decode on the refill-amortized
-// fast path — one up-front budget check per batch of 56/maxLen symbols,
-// then only unchecked PeekFast/SkipFast calls — and the stream tail falls
-// back to the fully checked per-symbol path.
+// fast path — after each refill, unchecked PeekFast/SkipFast calls for as
+// long as the bits left cover a longest code — and the stream tail falls
+// back to a per-symbol path that checks every code against the bits left.
 func decodeStream(d *decoder, r *bitio.Reader, out []uint16) error {
 	i := 0
 	if d.maxLen > 0 {
-		batch := 56 / int(d.maxLen)
-		for i+batch <= len(out) && r.Refill() >= 56 {
-			for j := 0; j < batch; j++ {
-				s, ok := d.decodeSymFast(r)
-				if !ok {
-					return ErrCorrupt
+		table, mask, maxLen := &d.table, uint64(1)<<d.bits-1, d.maxLen
+		for n := r.Refill(); i < len(out) && n >= 56; n = r.Refill() {
+			for ; i < len(out) && n >= maxLen; i++ {
+				// decodeWord, written out: the call would not inline.
+				v := r.PeekFast(32)
+				e := table[v&mask&rootMask]
+				s, l := uint16(e>>8), uint(e&0xff)
+				if l == 0 {
+					var ok bool
+					if s, l, ok = d.long(v, e); !ok {
+						return ErrCorrupt
+					}
 				}
-				out[i+j] = s
+				r.SkipFast(l)
+				n -= l
+				out[i] = s
 			}
-			i += batch
 		}
 	}
 	for ; i < len(out); i++ {
-		s, err := d.decodeSym(r)
-		if err != nil {
-			return err
+		v, avail := r.Peek(32)
+		s, l, ok := d.decodeWord(v)
+		if !ok {
+			return ErrCorrupt
 		}
+		if l > avail {
+			return bitio.ErrOutOfBits
+		}
+		r.SkipFast(l)
 		out[i] = s
 	}
 	return nil
 }
 
-func (d *decoder) decodeSym(r *bitio.Reader) (uint16, error) {
-	if peek, avail := r.Peek(fastBits); avail > 0 {
-		e := d.fast[peek]
-		if l := e & 0xff; l != 0 && uint(l) <= avail {
-			if err := r.Skip(uint(l)); err != nil {
-				return 0, err
-			}
-			return uint16(e >> 8), nil
-		}
-	}
-	// Canonical bitwise walk.
-	var code uint32
-	for l := uint8(1); l <= d.maxLen; l++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		code = code<<1 | uint32(b)
-		cnt := d.blCount[l]
-		if cnt > 0 && code >= d.firstCode[l] && code < d.firstCode[l]+uint32(cnt) {
-			return d.symByOrder[d.firstIndex[l]+int32(code-d.firstCode[l])], nil
-		}
-	}
-	return 0, ErrCorrupt
-}
-
-// packTable derives canonical codes from lengths and packs the
-// transmitted-order (bit-reversed) code and length per symbol into
-// packed[sym] = code<<8 | len, so the encode hot loop is one table load
-// per symbol. packed must have at least len(lengths) entries.
-func packTable(lengths []uint8, packed []uint64) {
-	var maxLen uint8
-	var blCount [maxCodeLen + 1]uint32
-	for _, l := range lengths {
-		if l > 0 {
-			blCount[l]++
-			if l > maxLen {
-				maxLen = l
-			}
-		}
-	}
-	var nextCode [maxCodeLen + 1]uint32
-	var code uint32
-	for l := uint8(1); l <= maxLen; l++ {
-		code = (code + blCount[l-1]) << 1
-		nextCode[l] = code
-	}
-	for sym, l := range lengths {
-		if l > 0 {
-			packed[sym] = uint64(reverseBits(nextCode[l], l))<<8 | uint64(l)
-			nextCode[l]++
-		} else {
-			packed[sym] = 0
-		}
+// packTable derives the canonical codes of the present symbols syms
+// (ascending) and packs the transmitted-order (bit-reversed) code and
+// length into packed[sym] = code<<8 | len, so the encode hot loop is one
+// table load per symbol. Only the entries of present symbols are written.
+func packTable(syms []uint16, lens []uint8, packed []uint64) {
+	count := lengthCounts(lens)
+	next := firstCodes(&count)
+	for i, s := range syms {
+		l := lens[i]
+		packed[s] = uint64(reverseBits(next[l], l))<<8 | uint64(l)
+		next[l]++
 	}
 }
 
@@ -593,46 +444,55 @@ func encodeSymbols(w *bitio.Writer, codes []uint16, packed []uint64) {
 	}
 }
 
-// encodeHeader runs the shared encoder prologue: histogram the symbols,
-// build the depth-limited code, and emit the self-describing header
-// (symbol count + code-length table) into a fresh writer. It returns the
-// writer and the leased packed (code,len) table, which the caller must
-// hand back to scratch.U64 after writing the payload.
-func encodeHeader(codes []uint16, alphabet, sizeHint int) (*bitio.Writer, []uint64) {
-	counts := scratch.U64.LeaseZeroed(alphabet)
+// encoder is the pooled encode-side state: the tree builder plus the
+// histogram and the present-symbol lists gathered from it.
+type encoder struct {
+	buildScratch
+	// counts is alphabet-sized and all zero between uses: histogram
+	// clears only the entries it counted, so no encode pays for clearing
+	// the alphabet.
+	counts []uint64
+	seen   []uint64 // bitmap over the alphabet, all zero between uses
+	syms   []uint16 // present symbols, ascending
+	freq   []uint64 // count of syms[i]
+	lens   []uint8  // code length of syms[i]
+}
+
+var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
+
+// histogram counts codes and gathers the present symbols, in ascending
+// order, into e.syms and their counts into e.freq, in O(len(codes) +
+// alphabet/64): the first occurrence of a symbol sets its bit in a bitmap,
+// and the gather clears exactly the counts and bitmap words it read.
+func (e *encoder) histogram(codes []uint16, alphabet int) {
+	if cap(e.counts) < alphabet {
+		e.counts = make([]uint64, alphabet)
+		e.seen = make([]uint64, (alphabet+63)/64)
+	}
+	counts, seen := e.counts[:alphabet], e.seen[:(alphabet+63)/64]
 	for _, c := range codes {
+		if counts[c] == 0 {
+			seen[c/64] |= 1 << (c % 64)
+		}
 		counts[c]++
 	}
-	lengths := scratch.Bytes.Lease(alphabet)
-	work := scratch.U64.Lease(alphabet)
-	codeLengths(counts, lengths, work)
-	scratch.U64.Release(work)
-	scratch.U64.Release(counts)
-
-	w := bitio.NewWriter(sizeHint)
-	w.WriteGamma(uint64(len(codes)))
-	writeLengths(w, lengths)
-	packed := scratch.U64.Lease(alphabet)
-	packTable(lengths, packed)
-	scratch.Bytes.Release(lengths)
-	return w, packed
+	e.syms, e.freq = e.syms[:0], e.freq[:0]
+	for i, word := range seen {
+		for word != 0 {
+			s := i*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			e.syms = append(e.syms, uint16(s))
+			e.freq = append(e.freq, counts[s])
+			counts[s] = 0
+		}
+		seen[i] = 0
+	}
 }
 
 // Encode compresses codes (all values must be < alphabet) into a
 // self-describing byte stream: symbol count, code-length table, payload.
 // This is the v1 single-stream layout; new archive formats use EncodeLanes.
-func Encode(codes []uint16, alphabet int) []byte {
-	w, packed := encodeHeader(codes, alphabet, len(codes)/2+64)
-	encodeSymbols(w, codes, packed)
-	scratch.U64.Release(packed)
-	return w.Bytes()
-}
-
-// laneBounds returns lane k's symbol range [lo, hi): numLanes near-equal
-// contiguous segments of an n-symbol stream.
-func laneBounds(n, k int) (lo, hi int) {
-	return k * n / numLanes, (k + 1) * n / numLanes
-}
+func Encode(codes []uint16, alphabet int) []byte { return encode(codes, alphabet, false) }
 
 // EncodeLanes compresses codes into the v2 multi-lane payload: the shared
 // header (symbol count + one code-length table) is followed by a
@@ -642,8 +502,33 @@ func laneBounds(n, k int) (lo, hi int) {
 // decode interleaved on one goroutine (hiding table-load latency behind
 // four independent chains) or on parallel.For workers for large streams.
 // All values must be < alphabet.
-func EncodeLanes(codes []uint16, alphabet int) []byte {
-	w, packed := encodeHeader(codes, alphabet, len(codes)/2+80)
+func EncodeLanes(codes []uint16, alphabet int) []byte { return encode(codes, alphabet, true) }
+
+// encode histograms codes, builds their depth-limited code and writes the
+// v1 or (lanes) v2 stream.
+func encode(codes []uint16, alphabet int, lanes bool) []byte {
+	e := encoderPool.Get().(*encoder)
+	defer encoderPool.Put(e)
+	e.histogram(codes, alphabet)
+	e.lens = slices.Grow(e.lens[:0], len(e.syms))[:len(e.syms)]
+	e.codeLengths(e.freq, e.lens)
+	return encodeWith(codes, alphabet, e.syms, e.lens, lanes)
+}
+
+// encodeWith writes codes as a v1 or (lanes) v2 stream under the canonical
+// code of the present symbols syms (ascending) with lengths lens, which
+// must cover every symbol of codes.
+func encodeWith(codes []uint16, alphabet int, syms []uint16, lens []uint8, lanes bool) []byte {
+	w := bitio.NewWriter(len(codes)/2 + 80)
+	w.WriteGamma(uint64(len(codes)))
+	writeLengths(w, syms, lens)
+	packed := scratch.U64.Lease(alphabet)
+	defer scratch.U64.Release(packed)
+	packTable(syms, lens, packed)
+	if !lanes {
+		encodeSymbols(w, codes, packed)
+		return w.Bytes()
+	}
 
 	// Byte-aligned lane directory: the byte length of every lane but the
 	// last (which runs to the end of the blob), 40 bits each so a lane of a
@@ -666,7 +551,6 @@ func EncodeLanes(codes []uint16, alphabet int) []byte {
 			laneLen[k] = uint64(w.BitLen()/8 - start)
 		}
 	}
-	scratch.U64.Release(packed)
 	out := w.Bytes()
 	// A 40-bit WriteBits at a byte boundary is 5 little-endian bytes.
 	for k, l := range laneLen {
@@ -677,6 +561,12 @@ func EncodeLanes(codes []uint16, alphabet int) []byte {
 	return out
 }
 
+// laneBounds returns lane k's symbol range [lo, hi): numLanes near-equal
+// contiguous segments of an n-symbol stream.
+func laneBounds(n, k int) (lo, hi int) {
+	return k * n / numLanes, (k + 1) * n / numLanes
+}
+
 // Decode reverses Encode. alphabet must match the encoder's.
 func Decode(data []byte, alphabet int) ([]uint16, error) {
 	return DecodeInto(nil, data, alphabet)
@@ -685,8 +575,9 @@ func Decode(data []byte, alphabet int) ([]uint16, error) {
 // decodeHeader runs the shared decoder prologue: read the symbol count,
 // sanity-check it, lease a decoder, and read + validate the code-length
 // table. On success the reader is positioned at the first payload bit and
-// the caller owns the leased decoder (releaseDecoder) and the returned
-// output slice (dst reused when its capacity suffices).
+// the caller owns the leased decoder (decoderPool.Put) and the returned
+// output slice (dst reused when its capacity suffices). The decode tables
+// are built only when the stream has symbols.
 func decodeHeader(r *bitio.Reader, dst []uint16, data []byte, alphabet int) ([]uint16, *decoder, error) {
 	r.Reset(data)
 	n, err := r.ReadGamma()
@@ -700,14 +591,17 @@ func decodeHeader(r *bitio.Reader, dst []uint16, data []byte, alphabet int) ([]u
 	if n > maxReasonable || n > uint64(len(data))*8 {
 		return nil, nil, ErrCorrupt
 	}
-	d := leaseDecoder(alphabet)
-	if err := readLengths(r, d.lengths); err != nil {
-		releaseDecoder(d)
+	d := decoderPool.Get().(*decoder)
+	err = d.readLengths(r, data, alphabet)
+	if err == nil {
+		err = validateLengths(d.lens)
+	}
+	if err != nil {
+		decoderPool.Put(d)
 		return nil, nil, err
 	}
-	if err := validateLengths(d.lengths); err != nil {
-		releaseDecoder(d)
-		return nil, nil, err
+	if n > 0 {
+		d.build()
 	}
 	var out []uint16
 	if uint64(cap(dst)) >= n {
@@ -728,11 +622,7 @@ func DecodeInto(dst []uint16, data []byte, alphabet int) ([]uint16, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer releaseDecoder(d)
-	if len(out) == 0 {
-		return out, nil
-	}
-	d.build()
+	defer decoderPool.Put(d)
 	if err := decodeStream(d, &r, out); err != nil {
 		return nil, err
 	}
@@ -758,9 +648,12 @@ func DecodeLanesInto(dst []uint16, data []byte, alphabet, workers int) ([]uint16
 	if err != nil {
 		return nil, err
 	}
-	defer releaseDecoder(d)
+	defer decoderPool.Put(d)
 	if len(out) == 0 {
 		return out, nil
+	}
+	if d.maxLen == 0 {
+		return nil, ErrCorrupt // n > 0 but the table codes nothing
 	}
 
 	// Lane directory, then the byte-framed lane payloads.
@@ -783,10 +676,6 @@ func DecodeLanesInto(dst []uint16, data []byte, alphabet, workers int) ([]uint16
 	}
 	laneData[numLanes-1] = data[off:]
 
-	d.build()
-	if d.maxLen == 0 {
-		return nil, ErrCorrupt // n > 0 but the table codes nothing
-	}
 	nn := len(out)
 	// Whole-lane parallel decode pays only when the stream is large enough
 	// to amortize goroutine handoff and the runtime actually has cores to
@@ -825,12 +714,12 @@ func DecodeLanesInto(dst []uint16, data []byte, alphabet, workers int) ([]uint16
 // goroutine in lockstep. The hot loop keeps every lane's bit-reader state
 // (accumulator, valid-bit count, byte cursor) in scalar locals so the four
 // decode chains stay register-resident and genuinely independent — the CPU
-// overlaps the four fast-table loads the single-stream decoder would
-// serialize. One bounds check per lane per refill round covers a batch of
-// 56/maxLen symbols (the up-front budget: after a full-word refill each
-// lane holds ≥ 56 valid bits and a symbol consumes at most maxLen). The
-// ragged lane tails — and any stream too short for a full-word refill —
-// finish on a fully checked per-symbol loop over the same state.
+// overlaps the four table loads the single-stream decoder would serialize.
+// After a full-word refill of every lane (one bounds check per lane),
+// rounds of one symbol per lane run unchecked for as long as every lane
+// holds a longest code's worth of bits. The ragged lane tails — and any
+// stream too short for a full-word refill — finish on a per-symbol loop
+// over the same state that checks every code against the bits left.
 func (d *decoder) decodeLanesInterleaved(lanes *[numLanes][]byte, out []uint16, nn int) error {
 	b0, b1, b2, b3 := lanes[0], lanes[1], lanes[2], lanes[3]
 	var a0, a1, a2, a3 uint64
@@ -840,10 +729,11 @@ func (d *decoder) decodeLanesInterleaved(lanes *[numLanes][]byte, out []uint16, 
 	c1, e1 := laneBounds(nn, 1)
 	c2, e2 := laneBounds(nn, 2)
 	c3, e3 := laneBounds(nn, 3)
-	fast := d.fast
-	batch := 56 / int(d.maxLen)
+	table := &d.table
+	mask := uint64(1)<<d.bits - 1
+	maxLen := d.maxLen
 	minLen := nn / numLanes // every lane holds at least this many symbols
-	for i := 0; i+batch <= minLen; i += batch {
+	for i := 0; i < minLen; {
 		if p0+8 > len(b0) || p1+8 > len(b1) || p2+8 > len(b2) || p3+8 > len(b3) {
 			break // some lane is in its sub-word tail
 		}
@@ -873,41 +763,42 @@ func (d *decoder) decodeLanesInterleaved(lanes *[numLanes][]byte, out []uint16, 
 		p3 += int(adv)
 		n3 += adv * 8
 		a3 &= 1<<n3 - 1
-		for j := 0; j < batch; j++ {
-			t0 := fast[a0&(1<<fastBits-1)]
-			t1 := fast[a1&(1<<fastBits-1)]
-			t2 := fast[a2&(1<<fastBits-1)]
-			t3 := fast[a3&(1<<fastBits-1)]
+		// Decode rounds until some lane could run short of a longest code.
+		for ; i < minLen && min(n0, n1, n2, n3) >= maxLen; i++ {
+			t0 := table[a0&mask&rootMask]
+			t1 := table[a1&mask&rootMask]
+			t2 := table[a2&mask&rootMask]
+			t3 := table[a3&mask&rootMask]
 			l0 := uint(t0 & 0xff)
 			l1 := uint(t1 & 0xff)
 			l2 := uint(t2 & 0xff)
 			l3 := uint(t3 & 0xff)
-			// Codes longer than fastBits miss the table (length 0) and take
-			// the canonical walk; the budget guarantees navl >= maxLen, so
+			// Codes longer than d.bits miss the table (length 0) and take
+			// the limit search; every lane holds at least maxLen bits, so
 			// no bit checks are needed on this branch either.
 			if l0 == 0 {
-				s, l, ok := d.slowWalk(a0)
+				s, l, ok := d.long(a0, t0)
 				if !ok {
 					return ErrCorrupt
 				}
 				t0, l0 = uint32(s)<<8, l
 			}
 			if l1 == 0 {
-				s, l, ok := d.slowWalk(a1)
+				s, l, ok := d.long(a1, t1)
 				if !ok {
 					return ErrCorrupt
 				}
 				t1, l1 = uint32(s)<<8, l
 			}
 			if l2 == 0 {
-				s, l, ok := d.slowWalk(a2)
+				s, l, ok := d.long(a2, t2)
 				if !ok {
 					return ErrCorrupt
 				}
 				t2, l2 = uint32(s)<<8, l
 			}
 			if l3 == 0 {
-				s, l, ok := d.slowWalk(a3)
+				s, l, ok := d.long(a3, t3)
 				if !ok {
 					return ErrCorrupt
 				}
@@ -947,15 +838,9 @@ func (d *decoder) decodeLanesInterleaved(lanes *[numLanes][]byte, out []uint16, 
 				p++
 				navl += 8
 			}
-			e := fast[acc&(1<<fastBits-1)]
-			l := uint(e & 0xff)
-			sym := uint16(e >> 8)
-			if l == 0 || l > navl {
-				s2, l2, ok := d.slowWalk(acc)
-				if !ok || l2 > navl {
-					return ErrCorrupt
-				}
-				sym, l = s2, l2
+			sym, l, ok := d.decodeWord(acc)
+			if !ok || l > navl {
+				return ErrCorrupt
 			}
 			acc >>= l
 			navl -= l
@@ -970,8 +855,8 @@ func (d *decoder) decodeLanesInterleaved(lanes *[numLanes][]byte, out []uint16, 
 func CompressedSizeEstimate(counts []uint64) int {
 	t := BuildTable(counts)
 	var totalBits uint64
-	for sym, c := range counts {
-		totalBits += c * uint64(t.lengths[sym])
+	for i, s := range t.syms {
+		totalBits += counts[s] * uint64(t.lengths[i])
 	}
 	return int((totalBits + 7) / 8)
 }

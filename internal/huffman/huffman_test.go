@@ -180,9 +180,12 @@ func TestDepthLimiting(t *testing.T) {
 		a, b = b, a+b
 	}
 	tbl := BuildTable(counts)
-	for sym, l := range tbl.lengths {
-		if counts[sym] > 0 && (l == 0 || l > maxCodeLen) {
-			t.Fatalf("sym %d length %d out of range", sym, l)
+	if len(tbl.syms) != n {
+		t.Fatalf("table codes %d symbols, want %d", len(tbl.syms), n)
+	}
+	for i, l := range tbl.lengths {
+		if l == 0 || l > maxCodeLen {
+			t.Fatalf("sym %d length %d out of range", tbl.syms[i], l)
 		}
 	}
 	// Build a code stream matching those counts (scaled down).
@@ -201,8 +204,7 @@ func TestKraftValidation(t *testing.T) {
 	for i := range lengths {
 		lengths[i] = 1 // oversubscribed: eight 1-bit codes
 	}
-	tt := tableFromLengths(lengths)
-	if err := tt.validate(); err == nil {
+	if err := validateLengths(lengths); err == nil {
 		t.Fatal("oversubscribed code accepted")
 	}
 }
@@ -249,5 +251,14 @@ func BenchmarkDecode50k(b *testing.B) {
 		if _, err := Decode(enc, 1024); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func TestHugeCountsFlattened(t *testing.T) {
+	// Counts beyond the build's 48-bit sort key are flattened first, like
+	// an over-deep code, and still yield a valid table.
+	tbl := BuildTable([]uint64{1 << 60, 3, 1 << 50, 0, 7})
+	if len(tbl.syms) != 4 || validateLengths(tbl.lengths) != nil {
+		t.Fatalf("bad table for huge counts: syms %v lengths %v", tbl.syms, tbl.lengths)
 	}
 }

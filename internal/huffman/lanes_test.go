@@ -93,7 +93,7 @@ func TestLanesLargeParallel(t *testing.T) {
 
 func TestLanesDeepCodes(t *testing.T) {
 	// Fibonacci counts force near-maximal code depth, exercising the
-	// slow-path canonical walk inside the fast batch loop.
+	// long-code limit search inside the interleaved fast loop.
 	const n = 40
 	var codes []uint16
 	a, b := 1, 1

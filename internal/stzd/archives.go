@@ -302,7 +302,8 @@ func (s *Server) serveBoxCached(w http.ResponseWriter, r *http.Request, e *archi
 		// Re-check under the flight: a just-finished flight may have
 		// filled the cache after our lookup missed but before this flight
 		// started; serving it keeps "one decode per cached window" exact.
-		if data, ok := s.boxCache.get(key); ok {
+		// The request's get above already counted its miss.
+		if data, ok := s.boxCache.lookup(key); ok {
 			return boxResult{data: data}, nil
 		}
 		if !s.acquire(r) {

@@ -60,18 +60,29 @@ func newBoxCache(budget int64) *boxCache {
 // larger boxes stream directly (X-Stz-Cache: bypass).
 func (c *boxCache) cacheable(n int64) bool { return c != nil && n <= c.maxEntry }
 
-// get returns the cached payload for key, marking it most recently used.
-// The returned slice is shared and must not be mutated.
+// get returns the cached payload for key, marking it most recently used,
+// and counts the lookup as one hit or miss. The returned slice is shared
+// and must not be mutated.
 func (c *boxCache) get(key string) ([]byte, bool) {
+	data, ok := c.lookup(key)
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return data, ok
+}
+
+// lookup is get without counting: for a second look on behalf of a
+// request whose get already counted.
+func (c *boxCache) lookup(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		c.misses.Add(1)
 		return nil, false
 	}
 	c.lru.MoveToFront(el)
-	c.hits.Add(1)
 	return el.Value.(*boxCacheEntry).data, true
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -272,6 +273,72 @@ func TestSingleFlightCollapsesBoxDecodes(t *testing.T) {
 	}
 	if n := statNum(t, statsOf(t, ts.URL), "box_cache", "decodes"); n != 1 {
 		t.Fatalf("box decodes = %v after warm query, want still 1", n)
+	}
+}
+
+// TestBoxCacheStatsMatchHeaders checks that /v1/stats counts every cached
+// box request exactly once: hits plus misses equal the box requests, and
+// each equals the count of its X-Stz-Cache reply header, for cold and
+// warm requests, sequential and concurrent.
+func TestBoxCacheStatsMatchHeaders(t *testing.T) {
+	ts := testServer(t, Options{Workers: 1, MaxInflight: 8})
+	g := datasets.Nyx(32, 32, 32, 21)
+	enc, err := codec.Encode("sz3", g, codec.Config{EB: 1e-3, Chunks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	putArchive(t, ts.URL, "counted", enc)
+
+	var (
+		mu      sync.Mutex
+		headers = map[string]int{}
+	)
+	get := func(box string) {
+		resp, err := http.Get(ts.URL + "/v1/archives/counted/box?box=" + box)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("box %s: status %d", box, resp.StatusCode)
+			return
+		}
+		mu.Lock()
+		headers[resp.Header.Get("X-Stz-Cache")]++
+		mu.Unlock()
+	}
+	boxes := []string{"0:8,0:8,0:8", "4:20,8:16,0:32", "16:32,16:32,16:32"}
+	requests := 0
+	for round := 0; round < 2; round++ {
+		for _, b := range boxes {
+			get(b)
+			requests++
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			get("8:24,8:24,8:24")
+		}()
+	}
+	wg.Wait()
+	requests += 8
+	if t.Failed() {
+		return
+	}
+
+	stats := statsOf(t, ts.URL)
+	hits := statNum(t, stats, "box_cache", "hits")
+	misses := statNum(t, stats, "box_cache", "misses")
+	if int(hits+misses) != requests {
+		t.Fatalf("stats hits %v + misses %v != %d box requests", hits, misses, requests)
+	}
+	if int(hits) != headers["hit"] || int(misses) != headers["miss"] {
+		t.Fatalf("stats hits/misses %v/%v, X-Stz-Cache headers %v", hits, misses, headers)
 	}
 }
 
