@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"encoding/binary"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -22,9 +21,7 @@ import (
 // holds the blobs of one archive as (u32 little-endian length, blob)
 // records. Regenerate it after a change to the quantizer or the predictor:
 //
-//	go test ./internal/bench -run TestHuffmanCorpus -update-huffman-corpus
-
-var updateHuffmanCorpus = flag.Bool("update-huffman-corpus", false, "rewrite testdata/huffman from core.Compress")
+//	go test ./internal/bench -run TestHuffmanCorpus -update
 
 // corpusAlphabet is the class-stream alphabet: twice quant.DefaultRadius.
 const corpusAlphabet = 2 * quant.DefaultRadius
@@ -103,7 +100,7 @@ func loadCorpus(tb testing.TB, name string) [][]byte {
 
 // TestHuffmanCorpus checks that the committed corpus is what core.Compress
 // writes today, byte for byte, and that every blob round-trips through the
-// lane codec; with -update-huffman-corpus it rewrites the corpus instead.
+// lane codec; with -update it rewrites the corpus instead.
 func TestHuffmanCorpus(t *testing.T) {
 	for _, c := range huffmanCorpora {
 		blobs, err := corpusBlobs(c.rel)
@@ -111,7 +108,7 @@ func TestHuffmanCorpus(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		want := marshalCorpus(blobs)
-		if *updateHuffmanCorpus {
+		if *update {
 			if err := os.MkdirAll(filepath.Dir(corpusPath(c.name)), 0o755); err != nil {
 				t.Fatal(err)
 			}

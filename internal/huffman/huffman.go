@@ -63,7 +63,8 @@ type buildScratch struct {
 }
 
 // codeLengths computes Huffman code lengths for the present symbols with
-// nonzero counts freq into lens (same order) and returns the longest.
+// nonzero counts freq (each below 2^48) into lens (same order) and returns
+// the longest.
 // Lengths are depth-limited to maxCodeLen by flattening the histogram and
 // rebuilding when necessary; freq is overwritten.
 func (bs *buildScratch) codeLengths(freq []uint64, lens []uint8) uint8 {
@@ -98,11 +99,6 @@ func (bs *buildScratch) buildLengths(freq []uint64, lens []uint8) uint8 {
 	}
 	leaves := bs.leaves[:0]
 	for i, c := range freq {
-		if c >= 1<<48 {
-			// Too large for the sort key (a histogram count never is):
-			// report an over-long code so codeLengths flattens first.
-			return maxCodeLen + 1
-		}
 		leaves = append(leaves, c<<16|uint64(i))
 	}
 	slices.Sort(leaves)
@@ -166,7 +162,8 @@ type Table struct {
 	codes   []uint32 // canonical code of syms[i], MSB-first
 }
 
-// BuildTable constructs a canonical table from symbol counts.
+// BuildTable constructs a canonical table from symbol counts, each below
+// 2^48 (the code-length build packs count<<16|symbol into one sort key).
 func BuildTable(counts []uint64) *Table {
 	t := &Table{}
 	var freq []uint64
@@ -508,11 +505,14 @@ func EncodeLanes(codes []uint16, alphabet int) []byte { return encode(codes, alp
 // v1 or (lanes) v2 stream.
 func encode(codes []uint16, alphabet int, lanes bool) []byte {
 	e := encoderPool.Get().(*encoder)
-	defer encoderPool.Put(e)
 	e.histogram(codes, alphabet)
 	e.lens = slices.Grow(e.lens[:0], len(e.syms))[:len(e.syms)]
 	e.codeLengths(e.freq, e.lens)
-	return encodeWith(codes, alphabet, e.syms, e.lens, lanes)
+	out := encodeWith(codes, alphabet, e.syms, e.lens, lanes)
+	// Not deferred: a code >= alphabet panics in histogram with counts
+	// left set, and that encoder must not go back to the pool.
+	encoderPool.Put(e)
+	return out
 }
 
 // encodeWith writes codes as a v1 or (lanes) v2 stream under the canonical

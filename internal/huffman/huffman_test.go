@@ -254,11 +254,18 @@ func BenchmarkDecode50k(b *testing.B) {
 	}
 }
 
-func TestHugeCountsFlattened(t *testing.T) {
-	// Counts beyond the build's 48-bit sort key are flattened first, like
-	// an over-deep code, and still yield a valid table.
-	tbl := BuildTable([]uint64{1 << 60, 3, 1 << 50, 0, 7})
-	if len(tbl.syms) != 4 || validateLengths(tbl.lengths) != nil {
-		t.Fatalf("bad table for huge counts: syms %v lengths %v", tbl.syms, tbl.lengths)
+func TestEncodeAfterPanicUnchanged(t *testing.T) {
+	// A code >= alphabet panics mid-histogram; once recovered, that
+	// encoder's partial counts must not reach the next Encode.
+	codes := []uint16{5, 5, 9, 1, 5, 9, 700, 5}
+	want := Encode(codes, 1024)
+	for range 4 {
+		func() {
+			defer func() { _ = recover() }()
+			Encode([]uint16{3, 3, 3, 800, 1024}, 1024)
+		}()
+		if got := Encode(codes, 1024); !bytes.Equal(got, want) {
+			t.Fatalf("Encode after a recovered panic = %x, want %x", got, want)
+		}
 	}
 }
