@@ -107,7 +107,9 @@ type Config struct {
 	// chunks of CodeChunk codes. This implements the paper's future-work
 	// item "random-access Huffman decoding": random-access decompression
 	// then entropy-decodes only the chunks its region touches, at a small
-	// compression-ratio cost (one code table per chunk).
+	// compression-ratio cost (one code table per chunk). Unchunked streams
+	// already give a box query four seek points per class stream (the
+	// Huffman lanes); chunks give finer ones but change the archive.
 	CodeChunk int
 	// BaseCodec names the registry codec (internal/codec) that compresses
 	// the coarsest hierarchical level and the PartitionOnly sub-blocks.

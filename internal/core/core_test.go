@@ -9,6 +9,7 @@ import (
 
 	"stz/internal/codec"
 	"stz/internal/grid"
+	"stz/internal/huffman"
 )
 
 // testField fills a grid with a smooth function plus mild noise.
@@ -548,15 +549,31 @@ func TestOutlierRandomAccessConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := grid.Box{Z0: 3, Y0: 5, X0: 7, Z1: 15, Y1: 13, X1: 18}
-	got, _, err := r.DecompressBox(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := full.ExtractBox(b)
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("outlier box mismatch at %d: %g vs %g", i, got.Data[i], want.Data[i])
+	// Every class has outliers, so every class decodes the prefix [0, hi)
+	// of its stream: a box in the first lane (z < 4, class z < 2 of 10)
+	// decodes one lane per class, a box in the last lane (z >= 16, class
+	// z >= 8) all four, and the cursor counts every escape before the box.
+	for _, tc := range []struct {
+		b     grid.Box
+		lanes int // decoded lanes per finest-level class; 0: not checked
+	}{
+		{grid.Box{Z0: 3, Y0: 5, X0: 7, Z1: 15, Y1: 13, X1: 18}, 0},
+		{grid.Box{Z0: 0, Y0: 2, X0: 1, Z1: 4, Y1: 19, X1: 13}, 1},
+		{grid.Box{Z0: 16, Y0: 2, X0: 3, Z1: 20, Y1: 17, X1: 19}, huffman.NumLanes},
+	} {
+		got, st, err := r.DecompressBox(tc.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := full.ExtractBox(tc.b)
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("box %+v: outlier mismatch at %d: %g vs %g", tc.b, i, got.Data[i], want.Data[i])
+			}
+		}
+		if d := st.DecodedChunks[1]; tc.lanes > 0 && d != tc.lanes*st.DecodedClasses[1] {
+			t.Fatalf("box %+v: %d lanes decoded over %d classes, want %d each",
+				tc.b, d, st.DecodedClasses[1], tc.lanes)
 		}
 	}
 }

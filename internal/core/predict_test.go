@@ -195,4 +195,18 @@ func TestOutlierCursor(t *testing.T) {
 	if got := oc.take(6); got != 3 {
 		t.Fatalf("skip take(6)=%d", got)
 	}
+	// A range decode leaves the codes before its first decoded lane
+	// stale: the cursor starts at from and never counts them.
+	stale := []uint16{0, 0, 0, 0, 5, 0, 7, 0}
+	oc = newOutlierCursor(decodedClass[float64]{codes: stale, from: 4})
+	if got := oc.take(5); got != 0 {
+		t.Fatalf("from=4 take(5)=%d, want 0", got)
+	}
+	if got := oc.take(7); got != 1 {
+		t.Fatalf("from=4 take(7)=%d, want 1", got)
+	}
+	oc = newOutlierCursor(decodedClass[float64]{codes: stale, from: 4})
+	if got := oc.take(7); got != 1 {
+		t.Fatalf("from=4 skip take(7)=%d, want 1", got)
+	}
 }

@@ -43,8 +43,11 @@ type Stats struct {
 	LevelRecon     [3]time.Duration
 	DecodedClasses [3]int
 	SkippedClasses [3]int
-	// Chunk accounting for streams written with Config.CodeChunk > 0
-	// (random-access Huffman decoding).
+	// Seek-unit accounting of the decoded class streams: chunks for
+	// streams written with Config.CodeChunk > 0, else the
+	// huffman.NumLanes lanes of each v3 class stream (v1/v2 streams are
+	// not counted). A full decompression decodes every unit; a box query
+	// skips the units its region does not reach.
 	DecodedChunks [3]int
 	SkippedChunks [3]int
 	Total         time.Duration
@@ -147,9 +150,13 @@ type decodedClass[T grid.Float] struct {
 	codes    []uint16 // ResidQuant path
 	outliers []T
 	diff     *grid.Grid[T] // ResidSZ3 path
+	// from is the first decoded code of an unchunked stream: codes before
+	// it (and past the requested range) were skipped and hold stale data.
+	from int
 	// Chunked-codes (random-access Huffman) metadata.
-	chunkSize     int
-	bases         []uint32 // per-chunk outlier base
+	chunkSize int
+	bases     []uint32 // per-chunk outlier base
+	// Decoded and total seek units: chunks, or the lanes of a v3 stream.
 	decodedChunks int
 	totalChunks   int
 }
@@ -162,22 +169,27 @@ func (dc *decodedClass[T]) release() {
 	dc.codes, dc.outliers = nil, nil
 }
 
-// decodeCodes entropy-decodes one class code blob according to the
-// stream's format version: v3 streams carry multi-lane Huffman payloads,
-// v1/v2 the single-stream layout. Lane workers stay at 1 — the seven
-// parity classes already occupy the reader's worker pool, and each class
-// decodes its lanes on the register-resident single-thread interleave.
-func (r *Reader[T]) decodeCodes(dst []uint16, blob []byte, alphabet int) ([]uint16, error) {
+// decodeCodes entropy-decodes the codes [lo, hi) of one class code blob
+// according to the stream's format version. v3 streams carry multi-lane
+// Huffman payloads: only the lanes holding codes of the range decode, each
+// from its start (huffman.DecodeLanesRange), so codes[from:hi] are valid
+// and lanes counts the lanes decoded. v1/v2 streams are single-stream and
+// decode whole (from 0, no lanes). Lanes decode on the calling goroutine —
+// the seven parity classes already occupy the reader's worker pool, and a
+// whole-stream range runs the register-resident single-thread interleave.
+func (r *Reader[T]) decodeCodes(dst []uint16, blob []byte, alphabet, lo, hi int) (codes []uint16, from, lanes int, err error) {
 	if r.hdr.Version >= 3 {
-		return huffman.DecodeLanesInto(dst, blob, alphabet, 1)
+		return huffman.DecodeLanesRange(dst, blob, alphabet, lo, hi)
 	}
-	return huffman.DecodeInto(dst, blob, alphabet)
+	codes, err = huffman.DecodeInto(dst, blob, alphabet)
+	return codes, 0, 0, err
 }
 
 // decodeClass entropy-decodes the class stream of predicted level p,
 // class c. n is the class size in points; only codes within [ciLo, ciHi)
 // are guaranteed decoded — with chunked streams (Config.CodeChunk), chunks
-// entirely outside the range are skipped.
+// entirely outside the range are skipped, and v3 streams skip the lanes
+// past ciHi and, when the class has no outliers, before ciLo.
 func (r *Reader[T]) decodeClass(p, c int, q quant.Quantizer, n, ciLo, ciHi int) (decodedClass[T], error) {
 	sec, err := r.arc.Section(r.classSection(p, c))
 	if err != nil {
@@ -211,8 +223,15 @@ func (r *Reader[T]) decodeClass(p, c int, q quant.Quantizer, n, ciLo, ciHi int) 
 	rest := sec[4+nOut*elem:]
 
 	if r.hdr.CodeChunk <= 0 {
+		// The outlier index of an escape is the number of escapes before
+		// it, so a class with outliers decodes the prefix [0, ciHi) for the
+		// outlier cursor to count them; one without starts at ciLo's lane.
+		lo := ciLo
+		if nOut > 0 {
+			lo = 0
+		}
 		codesBuf := scratch.U16.Lease(n)
-		codes, err := r.decodeCodes(codesBuf[:0], rest, q.Alphabet())
+		codes, from, lanes, err := r.decodeCodes(codesBuf[:0], rest, q.Alphabet(), lo, ciHi)
 		if err != nil {
 			scratch.U16.Release(codesBuf)
 			scratch.ReleaseFloat(outliers)
@@ -223,7 +242,11 @@ func (r *Reader[T]) decodeClass(p, c int, q quant.Quantizer, n, ciLo, ciHi int) 
 			// back and keep the allocated slice.
 			scratch.U16.Release(codesBuf)
 		}
-		return decodedClass[T]{codes: codes, outliers: outliers}, nil
+		dc := decodedClass[T]{codes: codes, outliers: outliers, from: from}
+		if r.hdr.Version >= 3 {
+			dc.decodedChunks, dc.totalChunks = lanes, huffman.NumLanes
+		}
+		return dc, nil
 	}
 
 	// Chunked codes: decode only the chunks intersecting [ciLo, ciHi).
@@ -285,7 +308,7 @@ func (r *Reader[T]) decodeClass(p, c int, q quant.Quantizer, n, ciLo, ciHi int) 
 		if hi <= ciLo || lo >= ciHi {
 			continue
 		}
-		part, err := r.decodeCodes(chunkBuf[:0], payload[offs[i]:offs[i+1]], q.Alphabet())
+		part, _, _, err := r.decodeCodes(chunkBuf[:0], payload[offs[i]:offs[i+1]], q.Alphabet(), 0, hi-lo)
 		if err != nil {
 			return fail("core: class %d chunk %d: %w", c, i, err)
 		}
@@ -301,7 +324,10 @@ func (r *Reader[T]) decodeClass(p, c int, q quant.Quantizer, n, ciLo, ciHi int) 
 // outlierCursor resolves the outlier-array index for escape codes during a
 // monotone (row-major) walk over class indices. With chunked code streams
 // it resynchronizes at chunk boundaries from the per-chunk outlier bases,
-// so skipped (un-decoded) chunks never have to be scanned.
+// so skipped (un-decoded) chunks never have to be scanned. Otherwise it
+// counts escapes from pos, the first decoded code: 0 whenever the class
+// has outliers, and for a class without them any escape is corrupt, so
+// the count it starts from does not matter.
 type outlierCursor struct {
 	codes     []uint16
 	pos       int
@@ -313,12 +339,12 @@ type outlierCursor struct {
 
 func newOutlierCursor[T grid.Float](dc decodedClass[T]) outlierCursor {
 	return outlierCursor{
-		codes: dc.codes, chunkSize: dc.chunkSize, bases: dc.bases, curChunk: -1,
+		codes: dc.codes, pos: dc.from, chunkSize: dc.chunkSize, bases: dc.bases, curChunk: -1,
 	}
 }
 
 // take returns the outlier index for the escape at class index ci, which
-// must be ≥ any previously passed index.
+// must be ≥ the first decoded code and any previously passed index.
 func (o *outlierCursor) take(ci int) int {
 	if o.chunkSize > 0 {
 		if c := ci / o.chunkSize; c != o.curChunk {

@@ -39,10 +39,11 @@ const (
 	rootBits = 12
 	rootMask = 1<<rootBits - 1
 
-	// numLanes is the lane count of the v2 multi-stream payload: the symbol
-	// stream is split into numLanes near-equal contiguous segments, each
-	// encoded as an independent bitstream over one shared code table.
-	numLanes = 4
+	// NumLanes is the lane count of the v2 multi-stream payload: the symbol
+	// stream is split into NumLanes near-equal contiguous segments, each
+	// encoded as an independent bitstream over one shared code table. The
+	// lane directory makes every lane start a seek point (DecodeLanesRange).
+	NumLanes = 4
 	// laneParallelMin is the symbol count from which DecodeLanesInto hands
 	// whole lanes to parallel.For workers instead of interleaving them on
 	// the calling goroutine (below it, goroutine overhead dominates).
@@ -493,7 +494,7 @@ func Encode(codes []uint16, alphabet int) []byte { return encode(codes, alphabet
 
 // EncodeLanes compresses codes into the v2 multi-lane payload: the shared
 // header (symbol count + one code-length table) is followed by a
-// byte-aligned lane directory and numLanes independent bitstreams, lane k
+// byte-aligned lane directory and NumLanes independent bitstreams, lane k
 // holding the contiguous segment laneBounds(n, k). Splitting the payload
 // breaks the decoder's single bit-serial dependency chain — the lanes
 // decode interleaved on one goroutine (hiding table-load latency behind
@@ -539,15 +540,15 @@ func encodeWith(codes []uint16, alphabet int, syms []uint16, lens []uint8, lanes
 	n := len(codes)
 	w.AlignByte()
 	dirOff := w.BitLen() / 8
-	var dir [(numLanes - 1) * 5]byte
+	var dir [(NumLanes - 1) * 5]byte
 	w.WriteBytes(dir[:])
-	var laneLen [numLanes - 1]uint64
-	for k := 0; k < numLanes; k++ {
+	var laneLen [NumLanes - 1]uint64
+	for k := 0; k < NumLanes; k++ {
 		lo, hi := laneBounds(n, k)
 		start := w.BitLen() / 8
 		encodeSymbols(w, codes[lo:hi], packed)
 		w.AlignByte()
-		if k < numLanes-1 {
+		if k < NumLanes-1 {
 			laneLen[k] = uint64(w.BitLen()/8 - start)
 		}
 	}
@@ -561,10 +562,10 @@ func encodeWith(codes []uint16, alphabet int, syms []uint16, lens []uint8, lanes
 	return out
 }
 
-// laneBounds returns lane k's symbol range [lo, hi): numLanes near-equal
+// laneBounds returns lane k's symbol range [lo, hi): NumLanes near-equal
 // contiguous segments of an n-symbol stream.
 func laneBounds(n, k int) (lo, hi int) {
-	return k * n / numLanes, (k + 1) * n / numLanes
+	return k * n / NumLanes, (k + 1) * n / NumLanes
 }
 
 // Decode reverses Encode. alphabet must match the encoder's.
@@ -635,16 +636,54 @@ func DecodeLanes(data []byte, alphabet, workers int) ([]uint16, error) {
 	return DecodeLanesInto(nil, data, alphabet, workers)
 }
 
+// decodeLanesHeader runs decodeHeader on an EncodeLanes stream and reads
+// its lane directory, splitting the payload into the NumLanes lane
+// bitstreams (all nil for an empty stream, which has no directory). On
+// success the caller owns the leased decoder and the output slice, as
+// with decodeHeader.
+func decodeLanesHeader(r *bitio.Reader, dst []uint16, data []byte, alphabet int) ([]uint16, *decoder, [NumLanes][]byte, error) {
+	var lanes [NumLanes][]byte
+	out, d, err := decodeHeader(r, dst, data, alphabet)
+	if err != nil || len(out) == 0 {
+		return out, d, lanes, err
+	}
+	fail := func(err error) ([]uint16, *decoder, [NumLanes][]byte, error) {
+		decoderPool.Put(d)
+		return nil, nil, lanes, err
+	}
+	if d.maxLen == 0 {
+		return fail(ErrCorrupt) // n > 0 but the table codes nothing
+	}
+	r.AlignByte()
+	var laneLen [NumLanes - 1]uint64
+	for k := range laneLen {
+		if laneLen[k], err = r.ReadBits(40); err != nil {
+			return fail(err)
+		}
+	}
+	off := int64(r.ByteOffset())
+	for k := range laneLen {
+		end := off + int64(laneLen[k])
+		if end < off || end > int64(len(data)) {
+			return fail(ErrCorrupt)
+		}
+		lanes[k] = data[off:end]
+		off = end
+	}
+	lanes[NumLanes-1] = data[off:]
+	return out, d, lanes, nil
+}
+
 // DecodeLanesInto reverses EncodeLanes, decoding into dst when its
 // capacity suffices (dst may be nil; the result aliases dst when reused).
-// Small streams interleave the numLanes lanes on the calling goroutine —
+// Small streams interleave the NumLanes lanes on the calling goroutine —
 // one refill-amortized batch per lane per round, so the CPU always has
-// numLanes independent decode chains in flight; streams of at least
+// NumLanes independent decode chains in flight; streams of at least
 // laneParallelMin symbols hand whole lanes to parallel.For when workers >
 // 1. alphabet must match the encoder's.
 func DecodeLanesInto(dst []uint16, data []byte, alphabet, workers int) ([]uint16, error) {
 	var r bitio.Reader
-	out, d, err := decodeHeader(&r, dst, data, alphabet)
+	out, d, laneData, err := decodeLanesHeader(&r, dst, data, alphabet)
 	if err != nil {
 		return nil, err
 	}
@@ -652,29 +691,6 @@ func DecodeLanesInto(dst []uint16, data []byte, alphabet, workers int) ([]uint16
 	if len(out) == 0 {
 		return out, nil
 	}
-	if d.maxLen == 0 {
-		return nil, ErrCorrupt // n > 0 but the table codes nothing
-	}
-
-	// Lane directory, then the byte-framed lane payloads.
-	r.AlignByte()
-	var laneData [numLanes][]byte
-	var laneLen [numLanes - 1]uint64
-	for k := range laneLen {
-		if laneLen[k], err = r.ReadBits(40); err != nil {
-			return nil, err
-		}
-	}
-	off := int64(r.ByteOffset())
-	for k := range laneLen {
-		end := off + int64(laneLen[k])
-		if end < off || end > int64(len(data)) {
-			return nil, ErrCorrupt
-		}
-		laneData[k] = data[off:end]
-		off = end
-	}
-	laneData[numLanes-1] = data[off:]
 
 	nn := len(out)
 	// Whole-lane parallel decode pays only when the stream is large enough
@@ -689,8 +705,8 @@ func DecodeLanesInto(dst []uint16, data []byte, alphabet, workers int) ([]uint16
 		// itself would force it to the heap on the (allocation-free)
 		// interleaved path below too.
 		lanes := laneData
-		var errs [numLanes]error
-		parallel.For(numLanes, workers, func(k int) {
+		var errs [NumLanes]error
+		parallel.For(NumLanes, workers, func(k int) {
 			lo, hi := laneBounds(nn, k)
 			var lr bitio.Reader
 			lr.Reset(lanes[k])
@@ -710,7 +726,54 @@ func DecodeLanesInto(dst []uint16, data []byte, alphabet, workers int) ([]uint16
 	return out, nil
 }
 
-// decodeLanesInterleaved decodes all numLanes lanes on the calling
+// DecodeLanesRange decodes only the part of an EncodeLanes stream that the
+// symbol range [lo, hi) needs, using the lane directory as seek points:
+// every lane holding a symbol of the range decodes from its start and
+// stops at hi, and the other lanes are skipped. out has the stream's full
+// length; out[from:hi] holds its symbols, where from is the start of the
+// first lane decoded, and the rest of out keeps whatever dst held. decoded
+// counts the lanes decoded, of NumLanes. A range covering the whole stream
+// decodes on the interleaved kernel of DecodeLanesInto. The range must lie
+// within the stream (0 <= lo <= hi <= len(out)), else the error wraps
+// ErrCorrupt. alphabet must match the encoder's.
+func DecodeLanesRange(dst []uint16, data []byte, alphabet, lo, hi int) (out []uint16, from, decoded int, err error) {
+	var r bitio.Reader
+	out, d, laneData, err := decodeLanesHeader(&r, dst, data, alphabet)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	defer decoderPool.Put(d)
+	n := len(out)
+	if lo < 0 || lo > hi || hi > n {
+		return nil, 0, 0, fmt.Errorf("%w: range [%d, %d) outside a %d-symbol stream", ErrCorrupt, lo, hi, n)
+	}
+	whole := lo == 0 && hi == n
+	from = hi
+	for k := range NumLanes {
+		klo, khi := laneBounds(n, k)
+		if max(klo, lo) >= min(khi, hi) {
+			continue // no symbol of the range in lane k
+		}
+		from = min(from, klo)
+		decoded++
+		if whole {
+			continue
+		}
+		var lr bitio.Reader
+		lr.Reset(laneData[k])
+		if err := decodeStream(d, &lr, out[klo:min(khi, hi)]); err != nil {
+			return nil, 0, 0, err
+		}
+	}
+	if whole {
+		if err := d.decodeLanesInterleaved(&laneData, out, n); err != nil {
+			return nil, 0, 0, err
+		}
+	}
+	return out, from, decoded, nil
+}
+
+// decodeLanesInterleaved decodes all NumLanes lanes on the calling
 // goroutine in lockstep. The hot loop keeps every lane's bit-reader state
 // (accumulator, valid-bit count, byte cursor) in scalar locals so the four
 // decode chains stay register-resident and genuinely independent — the CPU
@@ -720,7 +783,7 @@ func DecodeLanesInto(dst []uint16, data []byte, alphabet, workers int) ([]uint16
 // holds a longest code's worth of bits. The ragged lane tails — and any
 // stream too short for a full-word refill — finish on a per-symbol loop
 // over the same state that checks every code against the bits left.
-func (d *decoder) decodeLanesInterleaved(lanes *[numLanes][]byte, out []uint16, nn int) error {
+func (d *decoder) decodeLanesInterleaved(lanes *[NumLanes][]byte, out []uint16, nn int) error {
 	b0, b1, b2, b3 := lanes[0], lanes[1], lanes[2], lanes[3]
 	var a0, a1, a2, a3 uint64
 	var n0, n1, n2, n3 uint
@@ -732,7 +795,7 @@ func (d *decoder) decodeLanesInterleaved(lanes *[numLanes][]byte, out []uint16, 
 	table := &d.table
 	mask := uint64(1)<<d.bits - 1
 	maxLen := d.maxLen
-	minLen := nn / numLanes // every lane holds at least this many symbols
+	minLen := nn / NumLanes // every lane holds at least this many symbols
 	for i := 0; i < minLen; {
 		if p0+8 > len(b0) || p1+8 > len(b1) || p2+8 > len(b2) || p3+8 > len(b3) {
 			break // some lane is in its sub-word tail
@@ -824,13 +887,13 @@ func (d *decoder) decodeLanesInterleaved(lanes *[numLanes][]byte, out []uint16, 
 	}
 	// Ragged tails: spill the lane states and finish each lane on the
 	// checked per-symbol path (byte-granular refill, explicit bit budget).
-	bufs := [numLanes][]byte{b0, b1, b2, b3}
-	accs := [numLanes]uint64{a0, a1, a2, a3}
-	navls := [numLanes]uint{n0, n1, n2, n3}
-	poss := [numLanes]int{p0, p1, p2, p3}
-	curs := [numLanes]int{c0, c1, c2, c3}
-	ends := [numLanes]int{e0, e1, e2, e3}
-	for k := 0; k < numLanes; k++ {
+	bufs := [NumLanes][]byte{b0, b1, b2, b3}
+	accs := [NumLanes]uint64{a0, a1, a2, a3}
+	navls := [NumLanes]uint{n0, n1, n2, n3}
+	poss := [NumLanes]int{p0, p1, p2, p3}
+	curs := [NumLanes]int{c0, c1, c2, c3}
+	ends := [NumLanes]int{e0, e1, e2, e3}
+	for k := 0; k < NumLanes; k++ {
 		b, acc, navl, p := bufs[k], accs[k], navls[k], poss[k]
 		for c := curs[k]; c < ends[k]; c++ {
 			for navl <= 56 && p < len(b) {

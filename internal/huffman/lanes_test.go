@@ -2,6 +2,7 @@ package huffman
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -185,5 +186,130 @@ func FuzzDecodeLanes(f *testing.F) {
 		alphabet := int(span)%4096 + 1
 		_, _ = DecodeLanes(data, alphabet, 1)
 		_, _ = DecodeLanes(data, alphabet, 4)
+	})
+}
+
+// checkRange decodes [lo, hi) of blob into a sentinel-filled buffer and
+// checks it against want, the full decode: out[from:hi] must match, from
+// must be the start of a lane at or before lo, nothing outside
+// [from, hi) may be written, and decoded must count the lanes holding a
+// symbol of the range.
+func checkRange(t *testing.T, blob []byte, alphabet int, want []uint16, lo, hi int) {
+	t.Helper()
+	const sentinel = 0xffff
+	dst := make([]uint16, len(want))
+	for i := range dst {
+		dst[i] = sentinel
+	}
+	out, from, decoded, err := DecodeLanesRange(dst, blob, alphabet, lo, hi)
+	if err != nil {
+		t.Fatalf("[%d,%d): %v", lo, hi, err)
+	}
+	if len(out) != len(want) {
+		t.Fatalf("[%d,%d): length %d want %d", lo, hi, len(out), len(want))
+	}
+	n, lanes, start := len(want), 0, false
+	for k := range NumLanes {
+		klo, khi := laneBounds(n, k)
+		start = start || klo == from
+		if max(klo, lo) < min(khi, hi) {
+			lanes++
+		}
+	}
+	if lo < hi && (from > lo || !start) {
+		t.Fatalf("[%d,%d): from %d is not a lane start at or before lo", lo, hi, from)
+	}
+	if decoded != lanes {
+		t.Fatalf("[%d,%d): %d lanes decoded, want %d", lo, hi, decoded, lanes)
+	}
+	for i := from; i < hi; i++ {
+		if out[i] != want[i] {
+			t.Fatalf("[%d,%d): symbol %d: got %d want %d", lo, hi, i, out[i], want[i])
+		}
+	}
+	// A whole-stream range runs the interleaved kernel; any other range
+	// decodes only [from, hi).
+	if lo == 0 && hi == n {
+		return
+	}
+	for i := range out {
+		if (i < from || i >= hi) && out[i] != sentinel {
+			t.Fatalf("[%d,%d): symbol %d outside [%d,%d) was written", lo, hi, i, from, hi)
+		}
+	}
+}
+
+func TestDecodeLanesRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 100, 4099} {
+		codes := make([]uint16, n)
+		for i := range codes {
+			codes[i] = uint16(rng.Intn(40) + 1)
+		}
+		blob := EncodeLanes(codes, 64)
+		// Every range over the lane edges and their neighbours.
+		var points []int
+		for k := 0; k <= NumLanes; k++ {
+			e := k * n / NumLanes
+			for _, p := range []int{e - 1, e, e + 1} {
+				if p >= 0 && p <= n {
+					points = append(points, p)
+				}
+			}
+		}
+		for _, lo := range points {
+			for _, hi := range points {
+				if lo <= hi {
+					checkRange(t, blob, 64, codes, lo, hi)
+				}
+			}
+		}
+		for _, r := range [][2]int{{-1, n}, {0, n + 1}, {n, n - 1}} {
+			if _, _, _, err := DecodeLanesRange(nil, blob, 64, r[0], r[1]); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("n=%d: range %v outside the stream: err %v", n, r, err)
+			}
+		}
+	}
+}
+
+// FuzzDecodeLanesRange checks the range decoder against the full lane
+// decoder: on valid EncodeLanes blobs out[from:hi] must match for any
+// [lo, hi), and on mutated bytes it must error or agree with the full
+// decode of the same bytes, never panic, and never return more symbols
+// than decodeHeader's bound (one per payload bit) admits.
+func FuzzDecodeLanesRange(f *testing.F) {
+	f.Add([]byte{}, uint16(4), uint16(0), uint16(0), uint32(0))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8}, uint16(9), uint16(3), uint16(7), uint32(0x1234))
+	f.Add(bytes.Repeat([]byte{3, 9, 200}, 300), uint16(300), uint16(450), uint16(700), uint32(77))
+	f.Fuzz(func(t *testing.T, raw []byte, span, a, b uint16, mut uint32) {
+		alphabet := int(span)%2048 + 1
+		codes := make([]uint16, len(raw))
+		for i, c := range raw {
+			codes[i] = uint16(int(c) * alphabet / 256)
+		}
+		n := len(codes)
+		lo, hi := int(a)%(n+1), int(b)%(n+1)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		blob := EncodeLanes(codes, alphabet)
+		checkRange(t, blob, alphabet, codes, lo, hi)
+
+		bad := bytes.Clone(blob)
+		bad[int(mut)%len(bad)] ^= byte(mut>>8) | 1
+		out, from, _, err := DecodeLanesRange(nil, bad, alphabet, lo, hi)
+		if err != nil {
+			return
+		}
+		if len(out) > 8*len(bad) {
+			t.Fatalf("%d symbols from a %d-byte blob", len(out), len(bad))
+		}
+		if whole, err := DecodeLanes(bad, alphabet, 1); err == nil {
+			for i := from; i < hi; i++ {
+				if out[i] != whole[i] {
+					t.Fatalf("mutated blob: symbol %d: range %d, full %d", i, out[i], whole[i])
+				}
+			}
+		}
 	})
 }

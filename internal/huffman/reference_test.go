@@ -110,16 +110,16 @@ func refDecode(data []byte, alphabet int, lanes bool) ([]uint16, error) {
 		return nil, ErrCorrupt
 	}
 	r.AlignByte()
-	var laneLen [numLanes - 1]uint64
+	var laneLen [NumLanes - 1]uint64
 	for k := range laneLen {
 		if laneLen[k], err = r.ReadBits(40); err != nil {
 			return nil, err
 		}
 	}
 	off := uint64(r.ByteOffset())
-	for k := 0; k < numLanes; k++ {
+	for k := 0; k < NumLanes; k++ {
 		end := uint64(len(data))
-		if k < numLanes-1 {
+		if k < NumLanes-1 {
 			end = off + laneLen[k]
 			if end < off || end > uint64(len(data)) {
 				return nil, ErrCorrupt
@@ -293,8 +293,8 @@ func FuzzDecodeReference(f *testing.F) {
 			}
 			if lanes {
 				w.AlignByte()
-				for k := 0; k < numLanes-1; k++ {
-					w.WriteBits(uint64(len(payload)/numLanes), 40)
+				for k := 0; k < NumLanes-1; k++ {
+					w.WriteBits(uint64(len(payload)/NumLanes), 40)
 				}
 				w.AlignByte()
 				w.WriteBytes(payload)

@@ -366,8 +366,12 @@ func parseSerialDims[T grid.Float](data []byte) (nz, ny, nx, version int, err er
 	if nz < 0 || ny < 0 || nx < 0 {
 		return 0, 0, 0, 0, ErrFormat
 	}
+	// Every point costs the stream at least one bit: anchors are stored
+	// verbatim and every predicted point has a Huffman code of at least
+	// one bit. Larger dims are corrupt, and must fail before they size
+	// the output, or a few mutated header bytes could demand gigabytes.
 	const maxElems = 1 << 33
-	if int64(nz)*int64(ny)*int64(nx) > maxElems {
+	if elems := int64(nz) * int64(ny) * int64(nx); elems > maxElems || elems > 8*int64(len(data)) {
 		return 0, 0, 0, 0, fmt.Errorf("%w: implausible dims", ErrFormat)
 	}
 	return nz, ny, nx, version, nil

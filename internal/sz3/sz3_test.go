@@ -223,6 +223,29 @@ func TestDecompressTruncated(t *testing.T) {
 	}
 }
 
+func TestDecompressHostileDimsBounded(t *testing.T) {
+	// Dims the stream cannot hold (a point costs at least one bit) fail
+	// before they size the output: 2^30 float64 points would be 8 GiB.
+	enc, _ := Compress(smoothField[float64](4, 4, 4, 13), DefaultOptions(1e-3))
+	bad := bytes.Clone(enc)
+	for _, off := range []int{8, 12, 16} {
+		bad[off], bad[off+1], bad[off+2], bad[off+3] = 0, 4, 0, 0 // 1024
+	}
+	if _, err := Decompress[float64](bad); err == nil {
+		t.Fatal("1024³ dims in a tiny stream accepted")
+	}
+	// The cheapest real stream, a constant field at one bit per point,
+	// stays within the bound.
+	g := grid.New[float32](64, 64, 64)
+	enc, err := Compress(g, DefaultOptions(1e-3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecompressWorkers[float32](enc, 1); err != nil {
+		t.Fatalf("constant 64³ field: %v", err)
+	}
+}
+
 func TestChunkedRoundTrip(t *testing.T) {
 	g := smoothField[float32](32, 16, 16, 13)
 	o := DefaultOptions(1e-3)
